@@ -18,8 +18,8 @@
 //! call and joined before return, so borrowed inputs work and no global
 //! worker state can leak between operations. At the tens-of-milliseconds
 //! granularity of the workspace's hot paths (a simulation run, a conv
-//! layer over a batch, hashing an ingest), spawn cost is noise; in exchange
-//! every call site is self-contained and panic-propagation is free.
+//! layer over a batch), spawn cost is noise; in exchange every call site
+//! is self-contained and panic-propagation is free.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,7 +66,7 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 /// itself, and returns any number of output elements. Chunk boundaries are
 /// fixed by `chunk_size` alone, so the output is identical for every thread
 /// count — that is the substrate's determinism guarantee.
-pub fn par_map_chunks<T: Sync, U: Send>(
+fn par_map_chunks<T: Sync, U: Send>(
     items: &[T],
     chunk_size: usize,
     f: impl Fn(usize, &[T]) -> Vec<U> + Sync,

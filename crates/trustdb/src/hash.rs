@@ -190,9 +190,7 @@ impl Sha256 {
     }
 
     /// Expand a 64-byte block into its 64-word message schedule. The
-    /// schedule depends only on the block's bytes — not on the running
-    /// state — which is what makes it safe to precompute in parallel while
-    /// the (serially chained) compression consumes schedules in block order.
+    /// schedule depends only on the block's bytes, not on the running state.
     #[inline]
     fn expand_schedule(block: &[u8; 64]) -> [u32; 64] {
         let mut w = [0u32; 64];
@@ -262,58 +260,6 @@ pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
-}
-
-/// Parallel SHA-256 of `data`, bit-identical to [`sha256`].
-///
-/// SHA-256's compression is serially chained, but the message-schedule
-/// expansion of each 64-byte block depends only on that block's bytes. This
-/// splits the whole blocks into `blocks_per_chunk`-block chunks, expands
-/// the schedules of all chunks in parallel over `itrust_par`, then runs the
-/// compression serially in block order — the digest is therefore exact
-/// SHA-256 regardless of chunk size, thread count, or scheduling. The tail
-/// (partial final block plus padding) goes through the ordinary incremental
-/// path.
-pub fn par_sha256_chunked(data: &[u8], blocks_per_chunk: usize) -> Digest {
-    assert!(blocks_per_chunk > 0, "blocks_per_chunk must be positive");
-    let whole = (data.len() / 64) * 64;
-    let mut h = Sha256::new();
-    // Window the expansion so in-flight schedules (4× the data they cover)
-    // stay bounded no matter how large the object is.
-    let window_bytes = (blocks_per_chunk * 64)
-        .max(64 * 1024)
-        .min(whole.max(64));
-    let mut done = 0usize;
-    while done < whole {
-        let end = (done + window_bytes).min(whole);
-        let schedules: Vec<[u32; 64]> =
-            // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-            itrust_par::par_map_chunks(&data[done..end], blocks_per_chunk * 64, |_, chunk| {
-                chunk
-                    .chunks_exact(64)
-                    .map(|b| {
-                        let mut blk = [0u8; 64];
-                        blk.copy_from_slice(b);
-                        Sha256::expand_schedule(&blk)
-                    })
-                    .collect()
-            });
-        for w in &schedules {
-            h.compress_with(w);
-        }
-        done = end;
-    }
-    // The manual compress_with calls bypassed `update`'s length accounting.
-    h.total_len = whole as u64;
-    h.update(&data[whole..]);
-    h.finalize()
-}
-
-/// Parallel SHA-256 with the default chunk size (256 blocks = 16 KiB per
-/// chunk — coarse enough that scheduling overhead is noise, fine enough to
-/// spread a multi-megabyte object across workers).
-pub fn par_sha256(data: &[u8]) -> Digest {
-    par_sha256_chunked(data, 256)
 }
 
 /// SHA-256 over the concatenation of two digests — the node combiner used by
@@ -436,42 +382,6 @@ mod tests {
         assert_eq!(
             h.finalize().to_hex(),
             "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"
-        );
-    }
-
-    #[test]
-    fn par_sha256_matches_oneshot_across_sizes_and_chunkings() {
-        for len in [0usize, 1, 63, 64, 65, 127, 128, 1000, 4096, 100_000] {
-            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-            let want = sha256(&data);
-            assert_eq!(par_sha256(&data), want, "len={len}");
-            for bpc in [1, 2, 3, 7, 256, 5000] {
-                assert_eq!(par_sha256_chunked(&data, bpc), want, "len={len} bpc={bpc}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_sha256_invariant_across_thread_counts() {
-        let data: Vec<u8> = (0..50_000).map(|i| (i % 256) as u8).collect();
-        let want = sha256(&data);
-        for threads in [1, 2, 4, 8] {
-            let got = itrust_par::with_threads(threads, || par_sha256(&data));
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_sha256_nist_vectors() {
-        // Same published vectors the serial path is validated against.
-        assert_eq!(
-            par_sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            par_sha256_chunked(&data, 32).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
 

@@ -15,7 +15,7 @@
 //! [`FileBackend`] (a fanned-out directory layout, one file per object).
 
 use crate::errors::{Error, Result};
-use crate::hash::{par_sha256, sha256, Digest};
+use crate::hash::{sha256, Digest};
 use bytes::Bytes;
 use itrust_obs::ObsCtx;
 use parking_lot::RwLock;
@@ -249,19 +249,6 @@ impl Backend for FileBackend {
     }
 }
 
-/// Objects at or above this size are hashed with the parallel
-/// schedule-expansion path; below it, chunk bookkeeping costs more than it
-/// saves.
-pub const PAR_HASH_MIN_BYTES: usize = 64 * 1024;
-
-fn content_digest(bytes: &[u8]) -> Digest {
-    if bytes.len() >= PAR_HASH_MIN_BYTES && itrust_par::current_threads() > 1 {
-        par_sha256(bytes)
-    } else {
-        sha256(bytes)
-    }
-}
-
 /// Content-addressed object store over any [`Backend`].
 pub struct ObjectStore<B: Backend> {
     backend: B,
@@ -297,15 +284,12 @@ impl<B: Backend> ObjectStore<B> {
         self
     }
 
-    /// Store `bytes`, returning the content address. Idempotent. Objects of
-    /// [`PAR_HASH_MIN_BYTES`] or more are hashed with the parallel
-    /// schedule-expansion path ([`par_sha256`]) — bit-identical to the
-    /// serial digest, so the content address never depends on thread count.
+    /// Store `bytes`, returning the content address. Idempotent.
     pub fn put(&self, bytes: impl Into<Bytes>) -> Result<Digest> {
         let _span = itrust_obs::span!(self.obs, "trustdb.store.put");
         let bytes = bytes.into();
         itrust_obs::counter_add!(self.obs, "trustdb.store.put_bytes", bytes.len() as u64);
-        let digest = content_digest(&bytes);
+        let digest = sha256(&bytes);
         self.backend.put_raw(&digest, bytes)?;
         Ok(digest)
     }
@@ -319,7 +303,7 @@ impl<B: Backend> ObjectStore<B> {
     pub fn put_many(&self, items: Vec<impl Into<Bytes>>) -> Result<Vec<Digest>> {
         let _span = itrust_obs::span!(self.obs, "trustdb.store.put_many");
         let items: Vec<Bytes> = items.into_iter().map(Into::into).collect();
-        let digests: Vec<Digest> = itrust_par::par_map(&items, |b| content_digest(b));
+        let digests: Vec<Digest> = itrust_par::par_map(&items, |b| sha256(b));
         for (digest, bytes) in digests.iter().zip(items) {
             itrust_obs::counter_add!(self.obs, "trustdb.store.put_bytes", bytes.len() as u64);
             self.backend.put_raw(digest, bytes)?;
@@ -422,9 +406,9 @@ mod tests {
 
     #[test]
     fn large_object_digest_invariant_across_thread_counts() {
-        // Above PAR_HASH_MIN_BYTES the parallel hash path engages; the
+        // A multi-block object stored under any thread override: the
         // content address must not depend on the thread count.
-        let payload: Vec<u8> = (0..PAR_HASH_MIN_BYTES + 12_345).map(|i| (i % 251) as u8).collect();
+        let payload: Vec<u8> = (0..64 * 1024 + 12_345).map(|i| (i % 251) as u8).collect();
         let want = sha256(&payload);
         for threads in [1, 2, 4] {
             let digest = itrust_par::with_threads(threads, || {

@@ -13,9 +13,7 @@
 //! +--------------+--------------+------------------+
 //! ```
 //!
-//! The [`SyncPolicy`] controls the durability/throughput trade-off; the T1
-//! ablation bench (`bench/benches/table1_heritage_ingest.rs`) measures the
-//! group-commit win quantitatively.
+//! The [`SyncPolicy`] controls the durability/throughput trade-off.
 
 use crate::errors::{Error, Result};
 use crate::hash::crc32c;

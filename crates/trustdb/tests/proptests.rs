@@ -1,7 +1,7 @@
 //! Property-based tests over the trustdb primitives.
 
 use proptest::prelude::*;
-use trustdb::hash::{crc32c, par_sha256_chunked, sha256, Digest, Sha256};
+use trustdb::hash::{crc32c, sha256, Digest, Sha256};
 use trustdb::merkle::MerkleTree;
 use trustdb::store::{MemoryBackend, ObjectStore};
 use trustdb::wal::{SyncPolicy, Wal};
@@ -22,20 +22,6 @@ proptest! {
         }
         h.update(&data[prev..]);
         prop_assert_eq!(h.finalize(), whole);
-    }
-
-    /// Parallel hashing with arbitrary chunk sizes (and data that lands on
-    /// every block-boundary alignment) is bit-identical to the one-shot
-    /// digest at every thread count.
-    #[test]
-    fn par_sha256_arbitrary_chunking_equals_oneshot(
-        data in proptest::collection::vec(any::<u8>(), 0..4096),
-        blocks_per_chunk in 1usize..64,
-        threads in 1usize..5,
-    ) {
-        let want = sha256(&data);
-        let got = itrust_par::with_threads(threads, || par_sha256_chunked(&data, blocks_per_chunk));
-        prop_assert_eq!(got, want);
     }
 
     /// Digest hex round-trips for arbitrary digests.

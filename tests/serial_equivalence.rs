@@ -80,14 +80,14 @@ fn conv2d_forward_equals_retained_naive_reference() {
     }
 }
 
-/// Multi-block store puts (large enough to engage the parallel hash path)
+/// Multi-block store puts, hashed across `put_many`'s parallel fan-out,
 /// must produce identical digests at every thread count, all equal to the
 /// serial one-shot SHA-256.
 #[test]
 fn store_digests_identical_across_thread_counts() {
-    use trustdb::store::{MemoryBackend, ObjectStore, PAR_HASH_MIN_BYTES};
+    use trustdb::store::{MemoryBackend, ObjectStore};
     let payloads: Vec<Vec<u8>> = (0..4usize)
-        .map(|i| (0..PAR_HASH_MIN_BYTES + i * 31 + 5).map(|j| ((i + j) % 251) as u8).collect())
+        .map(|i| (0..64 * 1024 + i * 31 + 5).map(|j| ((i + j) % 251) as u8).collect())
         .collect();
     let digests = |threads: usize| {
         par::with_threads(threads, || {
@@ -96,7 +96,9 @@ fn store_digests_identical_across_thread_counts() {
         })
     };
     let serial = digests(1);
-    assert_eq!(digests(4), serial);
+    for threads in [2, 4] {
+        assert_eq!(digests(threads), serial, "threads={threads}");
+    }
     for (d, p) in serial.iter().zip(&payloads) {
         assert_eq!(*d, trustdb::hash::sha256(p));
     }
