@@ -1,12 +1,11 @@
-//! detcheck: determinism witness for the parallel hot paths.
+//! detcheck: determinism witness for the hot paths that were or are parallel.
 //!
-//! Runs every `itrust_par`-backed path (escs simulation, Conv2d
-//! forward/backward, `put_many`'s per-object hashing) with fixed seeds and
-//! writes content digests of the results to `results/detcheck.json`. The file
-//! deliberately contains no timing, thread count, or host information, so
-//! two runs under different `ITRUST_THREADS` settings must produce
-//! byte-identical JSON. CI runs it twice (1 thread, 4 threads) and diffs
-//! the outputs.
+//! Runs the escs simulation (serial now), Conv2d forward/backward and
+//! `put_many`'s per-object hashing with fixed seeds and writes content
+//! digests of the results to `results/detcheck.json`, as a guard against a
+//! thread-dependent path coming back. The file contains no timing, thread
+//! count, or host information, so runs under different `ITRUST_THREADS`
+//! settings must give byte-identical JSON; CI diffs a 1- and a 4-thread run.
 
 use escs::external::ExternalTimeline;
 use escs::graph::Topology;

@@ -10,11 +10,10 @@
 //!    witness countersignatures over partition-aware replica links after
 //!    each cut (one witness is severed during the second round and caught
 //!    up afterwards — the partition path runs for real). Then sample
-//!    event indices, build [`itrust_ledger::CustodyProof`]s with the
-//!    order-preserving `itrust_par::par_map`, verify every one at the
-//!    witness quorum, and record the merkle path lengths. The report pins
-//!    `max_path ≤ ⌈log2(size)⌉` — the O(log n) claim, measured, at every
-//!    size up to a million events.
+//!    event indices, build [`itrust_ledger::CustodyProof`]s, verify every
+//!    one at the witness quorum, and record the merkle path lengths. The
+//!    report pins `max_path ≤ ⌈log2(size)⌉` — the O(log n) claim,
+//!    measured, at every size up to a million events.
 //! 2. **Unified event API round trip.** A `trustdb::audit::AuditLog`, an
 //!    `archival_core::provenance::ProvenanceChain`, and an
 //!    `itrust-service` sharded store each produce events through their
@@ -187,17 +186,17 @@ fn size_run(size: usize, config: &LedgerConfig, obs: &itrust_obs::ObsCtx) -> Siz
         unreachable += report.unreachable;
     }
 
-    // Sample event indices and build/verify custody proofs in parallel.
-    // par_map preserves order, so the path-length stats are deterministic.
+    // Sample event indices, then build and verify a custody proof for each.
     let mut rng = StdRng::seed_from_u64(config.seed ^ size as u64);
-    let seqs: Vec<u64> = (0..config.proofs).map(|_| rng.gen_range(0..size as u64)).collect();
     let quorum = exchange.quorum_size();
-    let proofs = itrust_par::par_map(&seqs, |&seq| {
-        ledger.prove(seq).expect("every event is covered by the final checkpoint")
-    });
-    let verified_proofs = itrust_par::par_map(&proofs, |p| {
-        p.verify(ledger.name(), ledger.keyring(), quorum).is_ok()
-    });
+    let proofs: Vec<_> = (0..config.proofs)
+        .map(|_| {
+            let seq = rng.gen_range(0..size as u64);
+            ledger.prove(seq).expect("every event is covered by the final checkpoint")
+        })
+        .collect();
+    let verified_proofs: Vec<bool> =
+        proofs.iter().map(|p| p.verify(ledger.name(), ledger.keyring(), quorum).is_ok()).collect();
     let max_path = proofs.iter().map(|p| p.inclusion.path.len()).max().unwrap_or(0);
     let sum_path: usize = proofs.iter().map(|p| p.inclusion.path.len()).sum();
     let log2_ceil = (usize::BITS - (size - 1).leading_zeros()) as usize;

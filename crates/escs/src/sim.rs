@@ -7,13 +7,13 @@
 //! `(config, seed)` — the property the preservation/replay experiment
 //! depends on.
 //!
-//! Arrival generation is parallel and the event loop is RNG-free: each
-//! region's candidate stream is sampled up front in its own seeded
-//! sub-stream (split from the run seed via `SeedableRng::seed_from_stream`),
-//! every random quantity a call will ever need is drawn at acceptance time,
-//! and the per-region streams are merged by `(time, region)`. The event
-//! loop then only consumes pre-sampled values, so [`SimOutput`] is
-//! byte-identical for every `ITRUST_THREADS` setting.
+//! The event loop is RNG-free: each region's candidate stream is sampled up
+//! front in its own seeded sub-stream (split from the run seed via
+//! `SeedableRng::seed_from_stream`), every random quantity a call will ever
+//! need is drawn at acceptance time, and the per-region streams are merged
+//! by `(time, region)`. The event loop then only consumes pre-sampled
+//! values, so [`SimOutput`] does not depend on the order in which regions
+//! are sampled.
 
 use crate::call::{CallCategory, CallOutcome, CallRecord, CallStats};
 use crate::event::{EventQueue, SimTime};
@@ -217,12 +217,11 @@ pub fn run_with_obs(config: &SimConfig, obs: &itrust_obs::ObsCtx) -> SimOutput {
         .product::<f64>()
         .max(1.0);
 
-    // Generate every region's arrival stream (parallel — each region has
-    // its own RNG stream), then merge deterministically by (time, region).
+    // Generate every region's arrival stream (each region has its own RNG
+    // stream), then merge deterministically by (time, region).
     let arrivals: Vec<ArrivalDraw> = obs.time("escs.sim.generate_arrivals", || {
-        let per_region: Vec<Vec<ArrivalDraw>> =
-            itrust_par::par_map_indices(n_regions, |ri| region_arrivals(config, ri, max_multiplier));
-        let mut all: Vec<ArrivalDraw> = per_region.into_iter().flatten().collect();
+        let mut all: Vec<ArrivalDraw> =
+            (0..n_regions).flat_map(|ri| region_arrivals(config, ri, max_multiplier)).collect();
         all.sort_by_key(|d| (d.at, d.region));
         all
     });
@@ -269,8 +268,7 @@ pub fn run_with_obs(config: &SimConfig, obs: &itrust_obs::ObsCtx) -> SimOutput {
     // Helper closures are avoided where they would need &mut captures;
     // the match below is explicit instead. The pre-generated arrival stream
     // is merged with the scheduled-event queue in time order; an arrival
-    // wins ties (any fixed rule works — it just must not depend on the
-    // thread count).
+    // wins ties (any fixed rule works).
     let mut next_arrival = 0usize;
     while next_arrival < arrivals.len() || !queue.is_empty() {
         let take_arrival = match queue.peek_time() {
@@ -483,19 +481,6 @@ mod tests {
         assert_eq!(a.calls, b.calls);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.provenance, b.provenance);
-    }
-
-    #[test]
-    fn output_is_byte_identical_across_thread_counts() {
-        let serial = itrust_par::with_threads(1, || hour_run(42));
-        for threads in [2, 4] {
-            let par = itrust_par::with_threads(threads, || hour_run(42));
-            assert_eq!(
-                serde_json::to_vec(&par).unwrap(),
-                serde_json::to_vec(&serial).unwrap(),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]

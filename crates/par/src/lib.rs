@@ -1,4 +1,4 @@
-//! Deterministic parallel substrate for the workspace's hot paths.
+//! Deterministic parallel map for the call sites where a second core pays.
 //!
 //! Design contract: **the result of every operation here is a pure function
 //! of its inputs — never of the thread count or the scheduler.** Work is
@@ -16,10 +16,12 @@
 //!
 //! The pool is *scoped* ([`std::thread::scope`]): threads are spawned per
 //! call and joined before return, so borrowed inputs work and no global
-//! worker state can leak between operations. At the tens-of-milliseconds
-//! granularity of the workspace's hot paths (a simulation run, a conv
-//! layer over a batch), spawn cost is noise; in exchange every call site
-//! is self-contained and panic-propagation is free.
+//! worker state can leak between operations. Spawning is not free, so a call
+//! site stays parallel only with a measured 1-vs-2-thread speed-up
+//! (EXPERIMENTS.md): the service executor tick (its shards' WAL fsyncs
+//! overlap), `ShardedStore::verify_all` and `ObjectStore::put_many`. The
+//! conv layers are the one exception, kept parallel until the benchmark can
+//! judge their serial version (ROADMAP).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

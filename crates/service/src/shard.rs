@@ -112,32 +112,28 @@ fn encode_frame(tenant: &str, key: &str, digest: &Digest, payload: &[u8]) -> Vec
     buf
 }
 
-/// Decode a frame produced by [`encode_frame`].
+/// Decode a frame produced by [`encode_frame`]. The bytes come from a WAL
+/// on disk, so any malformed frame is a typed [`Error::Codec`], never a panic.
 fn decode_frame(frame: &[u8]) -> Result<(String, String, Digest, Vec<u8>)> {
     let corrupt = |detail: &str| Error::Codec(format!("service WAL frame: {detail}"));
-    let take_str = |buf: &[u8], at: usize| -> Result<(String, usize)> {
-        if buf.len() < at + 4 {
-            return Err(corrupt("truncated length"));
-        }
-        let mut len = [0u8; 4];
-        // itrust-lint: allow(panic-reachable) — shard slots are selected modulo the shard count
-        len.copy_from_slice(&buf[at..at + 4]);
-        let len = u32::from_le_bytes(len) as usize;
-        if buf.len() < at + 4 + len {
-            return Err(corrupt("truncated string"));
-        }
-        let s = std::str::from_utf8(&buf[at + 4..at + 4 + len])
-            .map_err(|_| corrupt("non-utf8 name"))?;
-        Ok((s.to_string(), at + 4 + len))
+    let take_str = |at: usize| -> Result<(String, usize)> {
+        let len: [u8; 4] = frame
+            .get(at..at + 4)
+            .and_then(|b| b.try_into().ok())
+            .ok_or_else(|| corrupt("truncated length"))?;
+        let end = at + 4 + u32::from_le_bytes(len) as usize;
+        let s = frame.get(at + 4..end).ok_or_else(|| corrupt("truncated string"))?;
+        let s = std::str::from_utf8(s).map_err(|_| corrupt("non-utf8 name"))?;
+        Ok((s.to_string(), end))
     };
-    let (tenant, at) = take_str(frame, 0)?;
-    let (key, at) = take_str(frame, at)?;
-    if frame.len() < at + 32 {
-        return Err(corrupt("truncated digest"));
-    }
-    let mut d = [0u8; 32];
-    d.copy_from_slice(&frame[at..at + 32]);
-    Ok((tenant, key, Digest(d), frame[at + 32..].to_vec()))
+    let (tenant, at) = take_str(0)?;
+    let (key, at) = take_str(at)?;
+    let digest: [u8; 32] = frame
+        .get(at..at + 32)
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| corrupt("truncated digest"))?;
+    let payload = frame.get(at + 32..).unwrap_or_default();
+    Ok((tenant, key, Digest(digest), payload.to_vec()))
 }
 
 impl Shard {
@@ -624,6 +620,39 @@ mod tests {
                    ("tenant-x", "key/17", d, b"payload".as_slice()));
         for cut in [0, 3, 10, frame.len() - 40] {
             assert!(matches!(decode_frame(&frame[..cut]), Err(Error::Codec(_))));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_frame_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..128),
+            (at, byte, cut) in (0..96usize, proptest::any::<u8>(), 0..96usize),
+        ) {
+            let ok_or_codec = |r: Result<_>| matches!(r, Ok(_) | Err(Error::Codec(_)));
+            proptest::prop_assert!(ok_or_codec(decode_frame(&bytes)));
+            // A valid frame with one byte overwritten, then truncated.
+            let mut frame = encode_frame("t", "k", &sha256(&bytes), &bytes);
+            let at = at % frame.len();
+            frame[at] = byte;
+            frame.truncate(cut.min(frame.len()));
+            proptest::prop_assert!(ok_or_codec(decode_frame(&frame)));
+        }
+
+        #[test]
+        fn frame_codec_round_trips_arbitrary_fields(
+            tenant in proptest::collection::vec(proptest::any::<char>(), 0..16),
+            key in proptest::collection::vec(proptest::any::<char>(), 0..16),
+            digest in proptest::array::uniform32(proptest::any::<u8>()),
+            payload in proptest::collection::vec(proptest::any::<u8>(), 0..128),
+        ) {
+            let (tenant, key): (String, String) =
+                (tenant.into_iter().collect(), key.into_iter().collect());
+            let frame = encode_frame(&tenant, &key, &Digest(digest), &payload);
+            proptest::prop_assert_eq!(
+                decode_frame(&frame).unwrap(),
+                (tenant, key, Digest(digest), payload)
+            );
         }
     }
 

@@ -21,6 +21,10 @@ ITRUST_THREADS=4 cargo test -q
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark crate lives outside the workspace but calls `put_many` and
+# `itrust_par::par_map`, so its own tests must pass against every change.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
