@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use trustdb::audit::AuditLog;
 use trustdb::event::EventKind;
 use trustdb::fixity::{FixityAuditor, FixityReport};
-use trustdb::hash::Digest;
+use trustdb::hash::{sha256_leaf, Digest};
 use trustdb::merkle::MerkleTree;
 use trustdb::store::{Backend, ObjectStore};
 
@@ -126,10 +126,13 @@ impl<B: Backend> Repository<B> {
         }
         drop(persist_span);
         let _seal_span = itrust_obs::span!(obs, "archival.ingest.seal");
-        let tree = MerkleTree::from_leaves_with_obs(
-            entries.iter().map(|e| e.record.content_digest.0.to_vec()),
-            obs,
-        )
+        let leaves: Vec<Digest> =
+            entries.iter().map(|e| sha256_leaf(&e.record.content_digest.0)).collect();
+        let tree = {
+            let _span = itrust_obs::span!(obs, "trustdb.merkle.build");
+            itrust_obs::counter_add!(obs, "trustdb.merkle.leaves", leaves.len() as u64);
+            MerkleTree::from_leaf_digests(leaves)
+        }
         .ok_or_else(|| ArchivalError::InvariantViolation("cannot seal an empty accession".into()))?;
         let merkle_root = tree.root();
         // Commit point: audit first, then embed the head into the manifest.
@@ -345,9 +348,15 @@ mod tests {
 
     #[test]
     fn ingest_produces_verifiable_aip() {
-        let repo = repo();
+        let sink = std::sync::Arc::new(itrust_obs::CollectingSink::default());
+        let obs = itrust_obs::ObsCtx::with_sink(sink.clone());
+        let repo = Repository::new(ObjectStore::new(MemoryBackend::new()).with_obs(obs.clone()));
         let receipt = repo.ingest(public_sip(5), 1_000, "archivist").unwrap();
         assert_eq!(receipt.record_count, 5);
+        // The seal's merkle build is timed under `archival.ingest.seal`.
+        assert_eq!(obs.snapshot().counters["trustdb.merkle.leaves"], 5);
+        let build_path = "archival.ingest.seal/trustdb.merkle.build";
+        assert!(sink.take().iter().any(|e| e.path.ends_with(build_path)));
         assert!(receipt.payload_bytes > 0);
         let manifest = repo.manifest(&receipt.aip_id).unwrap();
         manifest.verify_internal_consistency().unwrap();

@@ -20,5 +20,8 @@ fn main() {
             "d1.replay_divergence_max",
             rows.iter().map(|r| r.replay_divergence).max().unwrap_or(0) as f64,
         );
+    for r in &rows {
+        em.metric(&format!("d1.calls_per_sec.{}.{}", r.psaps, r.scenario), r.calls_per_sec);
+    }
     em.finish(rows.len() as u64, &report).expect("write results");
 }

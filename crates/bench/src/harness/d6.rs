@@ -109,7 +109,7 @@ pub fn run_linking(obs: &itrust_obs::ObsCtx) -> (LinkingResult, String) {
         let (_, text) = records[i].clone();
         records.push((format!("dup-{i:03}"), text));
     }
-    let linker = RecordLinker::build_with_obs(&records, obs.clone()).expect("unique ids");
+    let linker = RecordLinker::build(&records, obs.clone()).expect("unique ids");
     let clusters = linker.duplicate_clusters(0.95);
     let mut recovered = 0usize;
     let mut false_merges = 0usize;

@@ -57,6 +57,7 @@ mod tests {
     use crate::external::ExternalTimeline;
     use crate::graph::Topology;
     use crate::sim::{run, SimConfig};
+    use itrust_obs::ObsCtx;
 
     #[test]
     fn erlang_b_known_values() {
@@ -111,7 +112,7 @@ mod tests {
         );
         config.handling_lognormal = (handling_mean_ms.ln(), 0.05);
         config.mean_patience_ms = 1e12;
-        let output = run(&config);
+        let output = run(&config, &ObsCtx::null());
 
         let lambda_per_ms = 2.0 / 60_000.0;
         let mu_per_ms = 1.0 / handling_mean_ms;
@@ -142,7 +143,7 @@ mod tests {
         );
         config.handling_lognormal = (handling_mean_ms.ln(), 0.05);
         config.mean_patience_ms = 1e12;
-        let output = run(&config);
+        let output = run(&config, &ObsCtx::null());
         let waited = output
             .calls
             .iter()

@@ -148,11 +148,8 @@ impl Shard {
             None => None,
             Some(cfg) => {
                 std::fs::create_dir_all(&cfg.dir)?;
-                let wal = Wal::open_with_obs(
-                    cfg.dir.join(format!("shard-{index}.wal")),
-                    cfg.sync,
-                    obs.clone(),
-                )?;
+                let wal = Wal::open(cfg.dir.join(format!("shard-{index}.wal")), cfg.sync)?
+                    .with_obs(obs.clone());
                 // Recovery: replay every intact frame into the store and
                 // catalog. Each payload is re-hashed; a frame whose bytes no
                 // longer match their recorded digest is an integrity

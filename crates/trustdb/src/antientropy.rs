@@ -312,7 +312,7 @@ impl IntentLog {
     /// Open (or create) the intent log at `path`, resuming the sequence
     /// counter after any frames already on disk.
     pub fn open(path: impl AsRef<Path>, obs: itrust_obs::ObsCtx) -> Result<Self> {
-        let wal = Wal::open_with_obs(path, SyncPolicy::GroupCommit, obs)?;
+        let wal = Wal::open(path, SyncPolicy::GroupCommit)?.with_obs(obs);
         let seq = wal.frame_count();
         Ok(IntentLog { wal, seq: AtomicU64::new(seq) })
     }

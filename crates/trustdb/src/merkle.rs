@@ -88,35 +88,16 @@ impl MerkleTree {
         I: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        Self::from_leaves_with_obs(leaves, &itrust_obs::ObsCtx::null())
-    }
-
-    /// [`MerkleTree::from_leaves`] recording build telemetry into `obs`.
-    pub fn from_leaves_with_obs<I, B>(leaves: I, obs: &itrust_obs::ObsCtx) -> Option<Self>
-    where
-        I: IntoIterator<Item = B>,
-        B: AsRef<[u8]>,
-    {
         let leaf_hashes: Vec<Digest> =
             leaves.into_iter().map(|l| sha256_leaf(l.as_ref())).collect();
-        Self::from_leaf_digests_with_obs(leaf_hashes, obs)
+        Self::from_leaf_digests(leaf_hashes)
     }
 
     /// Build from already-computed (domain-separated) leaf digests.
     pub fn from_leaf_digests(leaf_hashes: Vec<Digest>) -> Option<Self> {
-        Self::from_leaf_digests_with_obs(leaf_hashes, &itrust_obs::ObsCtx::null())
-    }
-
-    /// [`MerkleTree::from_leaf_digests`] recording build telemetry into `obs`.
-    pub fn from_leaf_digests_with_obs(
-        leaf_hashes: Vec<Digest>,
-        obs: &itrust_obs::ObsCtx,
-    ) -> Option<Self> {
         if leaf_hashes.is_empty() {
             return None;
         }
-        let _span = itrust_obs::span!(obs, "trustdb.merkle.build");
-        itrust_obs::counter_add!(obs, "trustdb.merkle.leaves", leaf_hashes.len() as u64);
         let mut levels = vec![leaf_hashes];
         while let Some(prev) = levels.last().filter(|l| l.len() > 1) {
             let mut next = Vec::with_capacity(prev.len().div_ceil(2));

@@ -18,7 +18,7 @@ use crate::errors::{Error, Result};
 use crate::hash::{sha256, Digest};
 use bytes::Bytes;
 use itrust_obs::ObsCtx;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -135,6 +135,8 @@ pub struct FileBackend {
     root: PathBuf,
     // Index kept in memory for cheap list/count; rebuilt on open.
     index: RwLock<BTreeMap<Digest, u64>>,
+    // Serialises fan-out directory creation (see `create_fanout`).
+    fanout: Mutex<()>,
 }
 
 /// Monotonic discriminator for temp-file names: two concurrent `put_raw`
@@ -146,13 +148,9 @@ impl FileBackend {
     /// Open (or create) a file backend rooted at `root`, scanning existing
     /// objects into the in-memory index. Stale `*.tmp` files left behind by
     /// a crash mid-`put_raw` are swept (they were never renamed into place,
-    /// so they hold no committed data).
-    pub fn open(root: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with_obs(root, &ObsCtx::null())
-    }
-
-    /// [`FileBackend::open`] recording the stale-tmp sweep into `obs`.
-    pub fn open_with_obs(root: impl AsRef<Path>, obs: &ObsCtx) -> Result<Self> {
+    /// so they hold no committed data); each one counts toward
+    /// `trustdb.store.stale_tmp_swept` in `obs`.
+    pub fn open(root: impl AsRef<Path>, obs: &ObsCtx) -> Result<Self> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
         let mut index = BTreeMap::new();
@@ -178,7 +176,25 @@ impl FileBackend {
                 }
             }
         }
-        Ok(FileBackend { root, index: RwLock::new(index) })
+        Ok(FileBackend { root, index: RwLock::new(index), fanout: Mutex::new(()) })
+    }
+
+    /// Create whichever fan-out directories of `dir` do not exist yet,
+    /// fsyncing the parent of each new one: a crash must not lose the
+    /// directory entry above an acknowledged object. The lock keeps a
+    /// concurrent put from skipping a directory whose parent is not synced
+    /// yet.
+    fn create_fanout(&self, dir: &Path) -> std::io::Result<()> {
+        let _guard = self.fanout.lock();
+        let missing: Vec<&Path> =
+            dir.ancestors().take_while(|d| *d != self.root && !d.is_dir()).collect();
+        for new_dir in missing.into_iter().rev() {
+            std::fs::create_dir(new_dir)?;
+            if let Some(parent) = new_dir.parent() {
+                std::fs::File::open(parent)?.sync_all()?;
+            }
+        }
+        Ok(())
     }
 
     fn path_for(&self, digest: &Digest) -> PathBuf {
@@ -196,7 +212,7 @@ impl Backend for FileBackend {
         let path = self.path_for(digest);
         // itrust-lint: allow(panic-reachable) — path_for always joins two shard dirs under root, so a parent exists
         let dir = path.parent().unwrap();
-        std::fs::create_dir_all(dir)?;
+        self.create_fanout(dir)?;
         // Write to a unique temp name then rename: readers never observe a
         // torn object file, and concurrent puts of the same digest cannot
         // rename each other's half-written temp into place. The `.tmp`
@@ -466,12 +482,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let id;
         {
-            let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
+            let store = ObjectStore::new(FileBackend::open(&dir, &ObsCtx::null()).unwrap());
             id = store.put(b"durable object".as_slice()).unwrap();
             assert!(store.verify(&id).unwrap());
         }
         // Reopen: index is rebuilt from the directory scan.
-        let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
+        let store = ObjectStore::new(FileBackend::open(&dir, &ObsCtx::null()).unwrap());
         assert!(store.contains(&id));
         assert_eq!(&store.get(&id).unwrap()[..], b"durable object");
         assert_eq!(store.object_count(), 1);
@@ -484,7 +500,7 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("trustdb-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
+        let store = ObjectStore::new(FileBackend::open(&dir, &ObsCtx::null()).unwrap());
         let id = store.put(b"master image bytes".as_slice()).unwrap();
         // Corrupt the file on disk directly.
         let hex = id.to_hex();
@@ -503,7 +519,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let id;
         {
-            let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
+            let store = ObjectStore::new(FileBackend::open(&dir, &ObsCtx::null()).unwrap());
             id = store.put(b"real object".as_slice()).unwrap();
         }
         // Simulate a crash mid-put: a .tmp orphan next to the real object.
@@ -511,8 +527,10 @@ mod tests {
         let leaf = dir.join(&hex[0..2]).join(&hex[2..4]);
         let orphan = leaf.join(format!("{hex}.999-7.tmp"));
         std::fs::write(&orphan, b"half-written junk").unwrap();
-        let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
+        let obs = ObsCtx::new();
+        let store = ObjectStore::new(FileBackend::open(&dir, &obs).unwrap());
         assert!(!orphan.exists(), "stale tmp must be swept at open");
+        assert_eq!(obs.snapshot().counters["trustdb.store.stale_tmp_swept"], 1);
         assert_eq!(store.object_count(), 1, "orphan must not be indexed");
         assert!(store.verify(&id).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -523,7 +541,7 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("trustdb-race-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let backend = std::sync::Arc::new(FileBackend::open(&dir).unwrap());
+        let backend = std::sync::Arc::new(FileBackend::open(&dir, &ObsCtx::null()).unwrap());
         let payload = Bytes::from(vec![0x5Au8; 4096]);
         let digest = sha256(&payload);
         let mut handles = Vec::new();
@@ -556,7 +574,7 @@ mod tests {
         let mut dir = std::env::temp_dir();
         dir.push(format!("trustdb-del-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
+        let store = ObjectStore::new(FileBackend::open(&dir, &ObsCtx::null()).unwrap());
         let id = store.put(b"ephemeral".as_slice()).unwrap();
         assert!(store.delete(&id).unwrap());
         assert!(matches!(store.get(&id), Err(Error::NotFound(_))));

@@ -1,6 +1,7 @@
 //! Append-only, CRC-framed write-ahead log.
 //!
-//! Every mutation of the object store and catalog is first appended here.
+//! Durable writers (service shards, delay-tolerant intent logs) append every
+//! mutation here before acknowledging it.
 //! Frames are individually checksummed (CRC-32C) so torn writes and bit rot
 //! are detected at replay time; recovery truncates at the first damaged
 //! frame, which is the standard contract for a redo log.
@@ -107,15 +108,6 @@ impl Wal {
     /// Open (or create) the log at `path`, positioning new appends after the
     /// last intact frame.
     pub fn open(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Self> {
-        Self::open_with_obs(path, policy, itrust_obs::ObsCtx::null())
-    }
-
-    /// [`Wal::open`] with a telemetry context for append/replay metrics.
-    pub fn open_with_obs(
-        path: impl AsRef<Path>,
-        policy: SyncPolicy,
-        obs: itrust_obs::ObsCtx,
-    ) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .create(true)
@@ -136,7 +128,7 @@ impl Wal {
         Ok(Wal {
             path,
             policy,
-            obs,
+            obs: itrust_obs::ObsCtx::null(),
             inner: Mutex::new(WalInner {
                 file: Box::new(file),
                 batch: Vec::new(),
@@ -145,6 +137,12 @@ impl Wal {
                 torn: false,
             }),
         })
+    }
+
+    /// Attach a telemetry context for append/replay metrics.
+    pub fn with_obs(mut self, obs: itrust_obs::ObsCtx) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Filesystem path of the log.

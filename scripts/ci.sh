@@ -105,6 +105,17 @@ grep -q "audit + per-source proofs ok" "$SCRATCH/d11/d11.txt"
 test -s "$SCRATCH/d11/d11.json"
 test -s "$SCRATCH/d11/d11.telemetry.json"
 
+# D1 and Figure 1 reports: their wall-clock figures (calls/s, img/s,
+# training time) live only in the .json metrics, so the .txt reports must
+# be byte-identical at both thread counts.
+for exp in d1 fig1; do
+    ITRUST_THREADS=1 ITRUST_RESULTS_DIR="$SCRATCH/${exp}t1" \
+        cargo run --release -q -p itrust-bench --bin "$exp" > /dev/null
+    ITRUST_THREADS=4 ITRUST_RESULTS_DIR="$SCRATCH/${exp}t4" \
+        cargo run --release -q -p itrust-bench --bin "$exp" > /dev/null
+    diff "$SCRATCH/${exp}t1/$exp.txt" "$SCRATCH/${exp}t4/$exp.txt"
+done
+
 OBSTOOL=(cargo run --release -q -p itrust-obs-analyze --bin obstool --)
 
 # Trace smoke: the same run must have streamed a JSONL span trace that the

@@ -7,6 +7,7 @@ use itrust_core::ai_task::{Routing, Verdict};
 use itrust_core::platform::ITrustPlatform;
 use itrust_core::sensitivity::{generate_corpus, FitMode, SensitivityModel, SENSITIVE};
 use itrust_core::tar::{linear_review, tar_review, TarConfig};
+use itrust_obs::ObsCtx;
 use trustdb::event::EventKind;
 
 fn corpus_docs(n: usize, seed: u64) -> (Vec<(String, String, String)>, Vec<usize>) {
@@ -29,7 +30,7 @@ fn guarded_review_catches_most_sensitive_documents() {
         .unwrap();
 
     let train = generate_corpus(500, 0.25, 0.1, 12);
-    let model = SensitivityModel::fit(&train, &[], FitMode::Supervised);
+    let model = SensitivityModel::fit(&train, &[], FitMode::Supervised, &ObsCtx::null());
     let (results, guard) = platform
         .sensitivity_review(&receipt.aip_id, &model, 2_000)
         .unwrap();
@@ -73,8 +74,8 @@ fn tar_prioritizes_the_same_corpus_the_platform_holds() {
     let corpus = generate_corpus(600, 0.1, 0.1, 21);
     let positives = corpus.iter().filter(|d| d.label == SENSITIVE).count();
     assert!(positives > 20);
-    let linear = linear_review(&corpus);
-    let tar = tar_review(&corpus, TarConfig::default());
+    let linear = linear_review(&corpus, &ObsCtx::null());
+    let tar = tar_review(&corpus, TarConfig::default(), &ObsCtx::null());
     let linear_90 = linear.docs_to_recall(0.9).unwrap();
     let tar_90 = tar.docs_to_recall(0.9).unwrap();
     assert!(
